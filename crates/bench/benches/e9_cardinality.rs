@@ -5,11 +5,14 @@
 //! `BENCH_kernel.json`: Γ-requirement derivation (the `is_safe` /
 //! `group_count_distinct` hot path) through the row-at-a-time seed
 //! semantics vs the interned columnar kernel vs the kernel plus the
-//! memoizing safety oracle.
+//! memoizing safety oracle, and the **warm-probe** kernel pair pass:
+//! the retired sort-based reference (`sv_bench::pairsort`) vs the
+//! production counting-sort pass on the sweep's module shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use sv_bench::pairsort::min_group_distinct_sorted;
 use sv_core::requirements::{cardinality_constraints_with, set_constraints_with};
 use sv_core::safety::{KernelOracle, MemoSafetyOracle, NaiveOracle, SafetyOracle};
 use sv_core::StandaloneModule;
@@ -50,6 +53,50 @@ fn bench_kernel_swap(c: &mut Criterion) {
         bch.iter(|| {
             let o = MemoSafetyOracle::new(m.clone());
             derive(&o, gamma)
+        });
+    });
+    // Warm Lemma-4 probes on the sweep's module shape (a one-one module
+    // over 10 boolean wires: k = 20, N = 1024 rows): 64 visible sets
+    // hiding 3-5 attributes, every grouping already cached, so both
+    // rows time only the pair pass (plus the same two cache lookups).
+    let wide = library::one_one_chain(1, 10);
+    let big = StandaloneModule::from_workflow_module(&wide, ModuleId(0), 1 << 21).unwrap();
+    let kernel = big.kernel();
+    let iw = big.inputs().as_word().expect("k = 20 fits a word");
+    let ow = big.outputs().as_word().expect("k = 20 fits a word");
+    let mut rng = StdRng::seed_from_u64(0xE9);
+    let pairs: Vec<(u64, u64)> = (0..64)
+        .map(|_| {
+            let n_hidden = rng.gen_range(3u32..6);
+            let mut hidden = 0u64;
+            while hidden.count_ones() < n_hidden {
+                hidden |= 1 << rng.gen_range(0u32..20);
+            }
+            (iw & !hidden, ow & !hidden)
+        })
+        .collect();
+    for &(kw, pw) in &pairs {
+        let _ = kernel.min_group_distinct_words(kw, pw);
+    }
+    g.bench_function("warm_probe/sort_reference", |bch| {
+        let mut scratch = Vec::new();
+        bch.iter(|| {
+            pairs
+                .iter()
+                .map(|&(kw, pw)| {
+                    let (kg, pg) = (kernel.group_index_word(kw), kernel.group_index_word(pw));
+                    min_group_distinct_sorted(&kg, &pg, &mut scratch)
+                })
+                .sum::<usize>()
+        });
+    });
+    g.bench_function("warm_probe/counting_sort", |bch| {
+        let mut scratch = Vec::new();
+        bch.iter(|| {
+            pairs
+                .iter()
+                .map(|&(kw, pw)| kernel.min_group_distinct_words_with(kw, pw, &mut scratch))
+                .sum::<usize>()
         });
     });
     // End-to-end instance derivation through the shared-oracle path.

@@ -6,7 +6,10 @@
 //! (approximation ratios, oracle-call counts, world counts) recorded in
 //! EXPERIMENTS.md, and the [`baseline`] comparison logic behind
 //! `src/bin/bench_gate.rs`, the CI bench-regression gate over the
-//! committed `BENCH_*.json` files.
+//! committed `BENCH_*.json` files. The retired algorithms the benches
+//! measure production paths against live here too: [`flatscan`] and
+//! [`layerscan`] (sweep coverage and enumeration) and [`pairsort`] (the
+//! kernel's sort-based pair pass).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,3 +18,4 @@ pub mod baseline;
 pub mod experiments;
 pub mod flatscan;
 pub mod layerscan;
+pub mod pairsort;

@@ -15,9 +15,12 @@
 //!   set's bitmask word for schemas of ≤ 64 attributes, by [`AttrSet`]
 //!   beyond that).
 //! * [`InternedRelation::min_group_distinct`] — the entire Lemma-4 inner
-//!   loop — walks two cached id columns through a reusable scratch
-//!   buffer: **zero heap allocation per probe** once the group indexes
-//!   are warm.
+//!   loop — is one **linear pair pass** over two cached id columns: a
+//!   counting sort buckets the rows by key group (bucket sizes cached
+//!   in the key's index) and a stamped seen array counts each bucket's
+//!   distinct probe ids, in `O(rows + groups)` through a reusable
+//!   scratch buffer — **zero heap allocation per probe** once the group
+//!   indexes are warm.
 //! * [`ValueInterner`] is the generic sub-tuple → dense-id map used by
 //!   the interned natural join (provenance assembly, §4) and by group
 //!   computation when mixed-radix codes would overflow `u64`.
@@ -37,7 +40,7 @@
 //! **sharded** (readers of different sets never touch the same lock)
 //! with **once-per-set publication** (a cold set is built by exactly
 //! one thread — racing readers block on that set's [`std::sync::OnceLock`]
-//! slot, not on the cache), and per-probe pair-code buffers come from a
+//! slot, not on the cache), and per-probe pair-pass buffers come from a
 //! [`ScratchPool`] so concurrent probes never serialize on one shared
 //! scratch. The only writer is [`InternedRelation::append_rows`]
 //! (`&mut self`), which Rust's aliasing rules already exclude from
@@ -68,7 +71,7 @@ const GROUP_SHARDS: usize = 16;
 
 /// A pool of reusable `u64` probe buffers shared by concurrent readers.
 ///
-/// The Lemma-4 pair-code walk needs one scratch buffer per *in-flight*
+/// The Lemma-4 pair pass needs one scratch buffer per *in-flight*
 /// probe, not per caller: [`with`](Self::with) pops a buffer (or makes a
 /// fresh one when all are in use), runs the closure, and returns the
 /// buffer to the pool. The pool mutex is held only for the pop and the
@@ -331,6 +334,9 @@ pub struct GroupIndex {
     pub n_groups: u32,
     /// `representative[group]` = index of the first row of the group.
     pub representative: Vec<u32>,
+    /// `group_rows[group]` = number of rows in the group: the key-group
+    /// bucket sizes of the pair pass, kept so no probe recounts them.
+    group_rows: Vec<u32>,
     /// Sub-tuple → group-id lookup state, kept so appends extend the
     /// index instead of forcing a rebuild.
     lookup: GroupLookup,
@@ -372,10 +378,13 @@ enum GroupLookup {
 /// A columnar, interning view of a [`Relation`] — the kernel every
 /// safety probe runs on.
 ///
-/// Construction is `O(attrs × rows)`; each distinct attribute set pays
-/// one `O(rows log rows)` grouping pass, after which probes touching it
-/// are allocation-free (cache lookups borrow their keys, the pair
-/// scratch buffer is reused under a lock). Streaming rows in through
+/// Construction is `O(attrs × rows)`. Each distinct attribute set pays
+/// one grouping pass: `O(rows + code space)` through a direct table when
+/// its mixed-radix code space is at most `4 × rows` codes,
+/// `O(rows log rows)` by sorting beyond that. Probes touching cached
+/// sets are then one `O(rows + groups)` pair pass each, allocation-free
+/// (cache lookups borrow their keys, the pair-pass scratch buffer comes
+/// from a pool). Streaming rows in through
 /// [`append_rows`](Self::append_rows) extends the warm groupings
 /// instead of rebuilding them.
 ///
@@ -557,10 +566,10 @@ impl InternedRelation {
         }
     }
 
-    /// Mixed-radix digit sizes for `attrs`, and whether their product
+    /// Mixed-radix digit sizes for `attrs`, and their product when it
     /// fits a `u64` code (the radix fast path). Schema-determined, so
     /// the radix/wide decision is stable across appends.
-    fn radix_sizes(&self, attrs: &[usize]) -> (Vec<u64>, bool) {
+    fn radix_sizes(&self, attrs: &[usize]) -> (Vec<u64>, Option<u64>) {
         let mut sizes: Vec<u64> = Vec::with_capacity(attrs.len());
         let mut product: u128 = 1;
         for &a in attrs {
@@ -568,50 +577,29 @@ impl InternedRelation {
             product = product.saturating_mul(u128::from(s));
             sizes.push(s);
         }
-        (sizes, product <= u128::from(u64::MAX))
+        (sizes, u64::try_from(product).ok())
     }
 
     /// Computes the dense grouping for the attributes in `attrs`
     /// (ascending attribute indices).
     fn compute_group(&self, attrs: &[usize]) -> GroupIndex {
         let n = self.n_rows;
-        let (sizes, fits_radix) = self.radix_sizes(attrs);
-        if fits_radix {
-            // Mixed-radix fast path: one u64 code per row.
-            let codes: Vec<u64> = (0..n)
-                .map(|row| {
-                    let mut c: u64 = 0;
-                    for (&a, &s) in attrs.iter().zip(sizes.iter()) {
-                        c = c * s + u64::from(self.cols[a][row]);
-                    }
-                    c
-                })
-                .collect();
-            // Densify: group id = rank of the row's code.
-            let mut sorted = codes.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let row_group: Vec<u32> = codes
-                .iter()
-                .map(|c| sorted.binary_search(c).expect("own code") as u32)
-                .collect();
-            let mut representative = vec![u32::MAX; sorted.len()];
-            for (row, &g) in row_group.iter().enumerate() {
-                let slot = &mut representative[g as usize];
-                if *slot == u32::MAX {
-                    *slot = row as u32;
+        let (sizes, product) = self.radix_sizes(attrs);
+        if let Some(product) = product {
+            // Mixed-radix fast path: one u64 code per row, densified to
+            // group id = rank of the row's code.
+            let mut codes = vec![0u64; n];
+            for (&a, &s) in attrs.iter().zip(&sizes) {
+                for (c, &v) in codes.iter_mut().zip(&self.cols[a]) {
+                    *c = *c * s + u64::from(v);
                 }
             }
-            GroupIndex {
-                row_group,
-                n_groups: sorted.len() as u32,
-                representative,
-                lookup: GroupLookup::Radix {
-                    base: sorted,
-                    appended: HashMap::new(),
-                },
-                new_group_epoch: self.epoch,
-            }
+            let (base, row_group) = if product <= dense_table_slots(n) {
+                densify_table(&codes, product as usize)
+            } else {
+                densify_sorted(&codes)
+            };
+            radix_index(base, row_group, self.epoch)
         } else {
             // Wide-domain fallback: intern the materialized sub-tuples.
             // Interner ids are assigned in first-seen row order and are
@@ -620,19 +608,23 @@ impl InternedRelation {
             let mut buf: Vec<Value> = Vec::with_capacity(attrs.len());
             let mut row_group: Vec<u32> = Vec::with_capacity(n);
             let mut representative: Vec<u32> = Vec::new();
+            let mut group_rows: Vec<u32> = Vec::new();
             for row in 0..n {
                 buf.clear();
                 buf.extend(attrs.iter().map(|&a| self.cols[a][row]));
                 let gid = interner.intern(&buf);
                 if gid as usize == representative.len() {
                     representative.push(row as u32);
+                    group_rows.push(0);
                 }
+                group_rows[gid as usize] += 1;
                 row_group.push(gid);
             }
             GroupIndex {
                 row_group,
                 n_groups: representative.len() as u32,
                 representative,
+                group_rows,
                 lookup: GroupLookup::Wide { interner },
                 new_group_epoch: self.epoch,
             }
@@ -670,8 +662,8 @@ impl InternedRelation {
     /// least one genuinely new row landed.
     ///
     /// Cost: `O(batch × (attrs + cached groupings × log groups))` — the
-    /// streaming alternative to an `O(rows log rows)` full rebuild per
-    /// cached grouping. Returns the number of new rows.
+    /// streaming alternative to regrouping every row once per cached
+    /// grouping. Returns the number of new rows.
     ///
     /// # Errors
     /// Rejects rows violating the schema (arity or domain) before any
@@ -904,10 +896,13 @@ impl InternedRelation {
     /// of distinct `probe` sub-tuples, or `usize::MAX` on an empty
     /// relation.
     ///
-    /// Allocation-free once both group indexes are cached and the
-    /// scratch pool is warm: the pair codes go through a pooled buffer
-    /// ([`ScratchPool`]), so concurrent probes each hold their own
-    /// buffer and never serialize on a shared scratch. Pinned-buffer
+    /// One `O(rows + groups)` counting-sort pass, exiting early once a
+    /// key group has a single distinct probe sub-tuple (at once, without
+    /// the pass, when some key group has a single row). Allocation-free
+    /// once both group indexes are cached and the scratch pool is warm:
+    /// the pass runs in a pooled buffer ([`ScratchPool`]), so concurrent
+    /// probes each hold their own buffer and never serialize on a
+    /// shared scratch. Pinned-buffer
     /// callers (one buffer per sweep worker) can still use
     /// [`min_group_distinct_with`](Self::min_group_distinct_with) /
     /// [`min_group_distinct_words_with`](Self::min_group_distinct_words_with).
@@ -929,7 +924,7 @@ impl InternedRelation {
 
     /// [`min_group_distinct`](Self::min_group_distinct) through a
     /// caller-owned scratch buffer. Group-index caches are still shared
-    /// (read-mostly `RwLock`), but the per-probe pair-code buffer is the
+    /// (read-mostly `RwLock`), but the per-probe pair-pass buffer is the
     /// caller's — the form the parallel lattice sweep uses, one buffer
     /// per worker shard.
     #[must_use]
@@ -941,7 +936,7 @@ impl InternedRelation {
     ) -> usize {
         let kg = self.group_index(key);
         let pg = self.group_index(probe);
-        min_group_distinct_in(&kg, &pg, self.n_rows, scratch)
+        min_group_distinct_in(&kg, &pg, scratch)
     }
 
     /// Word-keyed [`min_group_distinct_with`](Self::min_group_distinct_with)
@@ -955,12 +950,11 @@ impl InternedRelation {
     ) -> usize {
         let kg = self.group_index_word(key);
         let pg = self.group_index_word(probe);
-        min_group_distinct_in(&kg, &pg, self.n_rows, scratch)
+        min_group_distinct_in(&kg, &pg, scratch)
     }
 
     fn min_group_distinct_indexed(&self, kg: &GroupIndex, pg: &GroupIndex) -> usize {
-        self.scratch
-            .with(|buf| min_group_distinct_in(kg, pg, self.n_rows, buf))
+        self.scratch.with(|buf| min_group_distinct_in(kg, pg, buf))
     }
 
     /// **Batched** Lemma-4 probes: answers a whole slice of word-encoded
@@ -968,7 +962,7 @@ impl InternedRelation {
     /// amortizes across the batch — each distinct attribute set is
     /// resolved against the cache (and computed, if cold) **at most once
     /// per batch**, and each distinct `(key, probe)` pair pays exactly
-    /// one pair-code pass, fanned out to every duplicate probe. This is
+    /// one pair pass, fanned out to every duplicate probe. This is
     /// the kernel entry point of the serving layer (`sv-core`'s
     /// `SafetyOracle::is_safe_batch`).
     ///
@@ -1046,14 +1040,14 @@ impl InternedRelation {
         let indexes: Vec<Arc<GroupIndex>> =
             words.iter().map(|&w| self.group_index_word(w)).collect();
         let at = |w: u64| &indexes[words.binary_search(&w).expect("collected above")];
-        // Distinct (key, probe) pairs: one pair-code pass each.
+        // Distinct (key, probe) pairs: one pair pass each.
         let mut pairs: Vec<(u64, u64)> =
             probes.iter().map(|&(k, p)| (k & mask, p & mask)).collect();
         pairs.sort_unstable();
         pairs.dedup();
         let answers: Vec<usize> = pairs
             .iter()
-            .map(|&(k, p)| min_group_distinct_in(at(k), at(p), self.n_rows, scratch))
+            .map(|&(k, p)| min_group_distinct_in(at(k), at(p), scratch))
             .collect();
         out.extend(probes.iter().map(|&(k, p)| {
             answers[pairs
@@ -1064,42 +1058,26 @@ impl InternedRelation {
 
     /// Grouped distinct counting with materialized keys — the
     /// compatibility form of the Lemma-4 condition
-    /// (`π_key`-group → number of distinct `π_probe` values).
+    /// (`π_key`-group → number of distinct `π_probe` values), through the
+    /// same counting-sort pair pass as
+    /// [`min_group_distinct`](Self::min_group_distinct) without its early
+    /// exits.
     #[must_use]
     pub fn group_count_distinct(&self, key: &AttrSet, probe: &AttrSet) -> HashMap<Tuple, usize> {
         let kg = self.group_index(key);
         let pg = self.group_index(probe);
-        let pn = u64::from(pg.n_groups);
+        let key_attrs: Vec<AttrId> = key
+            .iter()
+            .filter(|a| a.index() < self.schema.len())
+            .collect();
         let mut counts: HashMap<Tuple, usize> = HashMap::with_capacity(kg.n_groups as usize);
-        if self.n_rows == 0 {
-            return counts;
-        }
         self.scratch.with(|scratch| {
-            scratch.clear();
-            scratch.extend(
-                kg.row_group
-                    .iter()
-                    .zip(pg.row_group.iter())
-                    .map(|(&k, &p)| u64::from(k) * pn + u64::from(p)),
-            );
-            scratch.sort_unstable();
-            scratch.dedup();
-            let key_attrs: Vec<AttrId> = key
-                .iter()
-                .filter(|a| a.index() < self.schema.len())
-                .collect();
-            let mut i = 0usize;
-            while i < scratch.len() {
-                let g = scratch[i] / pn;
-                let mut j = i;
-                while j < scratch.len() && scratch[j] / pn == g {
-                    j += 1;
-                }
-                let row = kg.representative[g as usize] as usize;
+            for_each_key_distinct(&kg, &pg, scratch, |k, distinct| {
+                let row = kg.representative[k] as usize;
                 let key_tuple = Tuple::new(key_attrs.iter().map(|&a| self.value(row, a)).collect());
-                counts.insert(key_tuple, j - i);
-                i = j;
-            }
+                counts.insert(key_tuple, distinct);
+                usize::MAX
+            });
         });
         counts
     }
@@ -1178,6 +1156,7 @@ fn extend_gid<F: Fn(usize) -> Value>(
         row_group,
         n_groups,
         representative,
+        group_rows,
         lookup,
         new_group_epoch,
     } = gi;
@@ -1209,46 +1188,178 @@ fn extend_gid<F: Fn(usize) -> Value>(
     if is_new {
         *n_groups += 1;
         representative.push(row);
+        group_rows.push(0);
         *new_group_epoch = epoch;
     }
+    group_rows[gid as usize] += 1;
     row_group.push(gid);
 }
 
-/// The Lemma-4 pair-code walk over two cached group-id columns, writing
-/// through an arbitrary scratch buffer (pooled or per-worker).
-fn min_group_distinct_in(
-    kg: &GroupIndex,
-    pg: &GroupIndex,
-    n_rows: usize,
-    scratch: &mut Vec<u64>,
-) -> usize {
-    if n_rows == 0 {
-        return usize::MAX;
-    }
-    let pn = u64::from(pg.n_groups);
-    scratch.clear();
-    scratch.extend(
-        kg.row_group
-            .iter()
-            .zip(pg.row_group.iter())
-            .map(|(&k, &p)| u64::from(k) * pn + u64::from(p)),
-    );
-    scratch.sort_unstable();
-    scratch.dedup();
-    let mut min = usize::MAX;
-    let mut cur_key = scratch[0] / pn;
-    let mut count = 0usize;
-    for &code in scratch.iter() {
-        let k = code / pn;
-        if k == cur_key {
-            count += 1;
-        } else {
-            min = min.min(count);
-            cur_key = k;
-            count = 1;
+/// Mixed-radix code spaces of at most `DENSE_TABLE_FACTOR × rows` codes
+/// are densified through a direct table ([`densify_table`]); larger ones
+/// sort ([`densify_sorted`]). The table's ascending walk costs one step
+/// per code, so a space of a few codes per row stays cheaper than the
+/// sort's `log rows` factor at every relation size. The bound has no
+/// fixed floor because small relations would pay for it: a 4096-slot
+/// table costs a 16-row build about 14× a sort of its 16 codes.
+const DENSE_TABLE_FACTOR: u64 = 4;
+
+/// Largest mixed-radix code space densified by direct table for a
+/// relation of `n_rows` rows.
+fn dense_table_slots(n_rows: usize) -> u64 {
+    DENSE_TABLE_FACTOR * n_rows as u64
+}
+
+/// Densifies row codes drawn from `0..product` in `O(rows + product)`:
+/// marks each occurring code in a `product`-slot table, then ranks the
+/// marked codes by one ascending walk. Returns the distinct codes in
+/// ascending order (group id = rank, capacity exact) and each row's
+/// group id — exactly what [`densify_sorted`] returns.
+fn densify_table(codes: &[u64], product: usize) -> (Vec<u64>, Vec<u32>) {
+    const ABSENT: u32 = u32::MAX;
+    let mut table = vec![ABSENT; product];
+    let mut n_groups = 0usize;
+    for &c in codes {
+        let slot = &mut table[c as usize];
+        if *slot == ABSENT {
+            *slot = 0;
+            n_groups += 1;
         }
     }
-    min.min(count)
+    let mut base: Vec<u64> = Vec::with_capacity(n_groups);
+    for (c, slot) in table.iter_mut().enumerate() {
+        if *slot != ABSENT {
+            *slot = base.len() as u32;
+            base.push(c as u64);
+        }
+    }
+    let row_group = codes.iter().map(|&c| table[c as usize]).collect();
+    (base, row_group)
+}
+
+/// Densifies row codes of any magnitude in `O(rows log rows)`: sorts and
+/// dedups a copy (trimmed to exact capacity), then ranks each row's code
+/// by binary search. Same output as [`densify_table`].
+fn densify_sorted(codes: &[u64]) -> (Vec<u64>, Vec<u32>) {
+    let mut base = codes.to_vec();
+    base.sort_unstable();
+    base.dedup();
+    base.shrink_to_fit();
+    let row_group = codes
+        .iter()
+        .map(|c| base.binary_search(c).expect("own code") as u32)
+        .collect();
+    (base, row_group)
+}
+
+/// A fresh mixed-radix [`GroupIndex`] from densified codes: `base` holds
+/// the distinct codes in ascending order, `row_group` each row's rank.
+fn radix_index(base: Vec<u64>, row_group: Vec<u32>, epoch: u64) -> GroupIndex {
+    let mut representative = vec![u32::MAX; base.len()];
+    let mut group_rows = vec![0u32; base.len()];
+    for (row, &g) in row_group.iter().enumerate() {
+        let slot = &mut representative[g as usize];
+        if *slot == u32::MAX {
+            *slot = row as u32;
+        }
+        group_rows[g as usize] += 1;
+    }
+    GroupIndex {
+        row_group,
+        n_groups: base.len() as u32,
+        representative,
+        group_rows,
+        lookup: GroupLookup::Radix {
+            base,
+            appended: HashMap::new(),
+        },
+        new_group_epoch: epoch,
+    }
+}
+
+/// The Lemma-4 pair pass over two cached group-id columns, in
+/// `O(rows + key groups + probe groups)` through a caller-supplied
+/// scratch buffer (pooled or per-worker).
+///
+/// A counting sort buckets the rows by key group (bucket sizes are the
+/// key index's cached `group_rows`, prefix-summed), holding each row's
+/// probe group id; each bucket's distinct probe ids are then counted
+/// against a seen array stamped with the bucket's index + 1, so the
+/// array is never cleared between buckets. `visit(key_group, distinct)`
+/// is called per key group in id order and returns the **cap** for the
+/// next group: a bucket stops counting once it reaches the cap (and
+/// reports the cap), and a cap of `0` ends the pass. An empty relation
+/// has no key groups, so `visit` is never called.
+fn for_each_key_distinct(
+    kg: &GroupIndex,
+    pg: &GroupIndex,
+    scratch: &mut Vec<u64>,
+    mut visit: impl FnMut(usize, usize) -> usize,
+) {
+    let (kn, pn, n) = (
+        kg.n_groups as usize,
+        pg.n_groups as usize,
+        kg.row_group.len(),
+    );
+    scratch.clear();
+    scratch.resize(kn + n + pn, 0);
+    let (ends, rest) = scratch.split_at_mut(kn);
+    let (probe_ids, seen) = rest.split_at_mut(n);
+    // Exclusive prefix sums: `ends[k]` = first slot of bucket k.
+    let mut first = 0u64;
+    for (end, &rows) in ends.iter_mut().zip(&kg.group_rows) {
+        *end = first;
+        first += u64::from(rows);
+    }
+    // Scatter; afterwards `ends[k]` is one past bucket k's last slot.
+    for (&k, &p) in kg.row_group.iter().zip(&pg.row_group) {
+        let slot = &mut ends[k as usize];
+        probe_ids[*slot as usize] = u64::from(p);
+        *slot += 1;
+    }
+    let mut cap = usize::MAX;
+    let mut start = 0usize;
+    for (k, &end) in ends.iter().enumerate() {
+        let end = end as usize;
+        let stamp = k as u64 + 1;
+        let mut distinct = 0usize;
+        for &p in &probe_ids[start..end] {
+            let s = &mut seen[p as usize];
+            if *s != stamp {
+                *s = stamp;
+                distinct += 1;
+                if distinct == cap {
+                    break;
+                }
+            }
+        }
+        cap = visit(k, distinct);
+        if cap == 0 {
+            return;
+        }
+        start = end;
+    }
+}
+
+/// The Lemma-4 minimum over [`for_each_key_distinct`], or `usize::MAX`
+/// on an empty relation. All exits are exact: a key group of one row
+/// has one distinct probe value, so the minimum is 1 without a pass; a
+/// bucket that reaches the running minimum cannot lower it; and no
+/// bucket goes below 1.
+fn min_group_distinct_in(kg: &GroupIndex, pg: &GroupIndex, scratch: &mut Vec<u64>) -> usize {
+    if kg.group_rows.contains(&1) {
+        return 1;
+    }
+    let mut min = usize::MAX;
+    for_each_key_distinct(kg, pg, scratch, |_, distinct| {
+        min = min.min(distinct);
+        if min == 1 {
+            0
+        } else {
+            min
+        }
+    });
+    min
 }
 
 #[cfg(test)]
@@ -1498,6 +1609,217 @@ mod tests {
         // Epoch queries answer only for cached groupings.
         assert_eq!(ir.group_new_group_epoch(&inputs), Some(0));
         assert_eq!(ir.group_new_group_epoch(&AttrSet::from_indices(&[1])), None);
+    }
+
+    /// `(codes, product)` of the mixed-radix encoding of `attrs`.
+    fn radix_codes(ir: &InternedRelation, attrs: &[usize]) -> (Vec<u64>, u64) {
+        let (sizes, product) = ir.radix_sizes(attrs);
+        let codes = (0..ir.n_rows())
+            .map(|row| {
+                attrs
+                    .iter()
+                    .zip(&sizes)
+                    .fold(0u64, |c, (&a, &s)| c * s + u64::from(ir.cols[a][row]))
+            })
+            .collect();
+        (codes, product.expect("test schemas fit the radix path"))
+    }
+
+    fn base_len(g: &GroupIndex) -> usize {
+        match &g.lookup {
+            GroupLookup::Radix { base, .. } => base.len(),
+            GroupLookup::Wide { .. } => unreachable!("test schemas fit the radix path"),
+        }
+    }
+
+    /// Asserts two radix group indexes are bit-identical.
+    fn assert_same_index(a: &GroupIndex, b: &GroupIndex, ctx: &str) {
+        assert_eq!(a.row_group, b.row_group, "{ctx}: row_group");
+        assert_eq!(a.n_groups, b.n_groups, "{ctx}: n_groups");
+        assert_eq!(a.representative, b.representative, "{ctx}: representative");
+        assert_eq!(a.group_rows, b.group_rows, "{ctx}: group_rows");
+        assert_eq!(
+            a.new_group_epoch, b.new_group_epoch,
+            "{ctx}: new_group_epoch"
+        );
+        match (&a.lookup, &b.lookup) {
+            (
+                GroupLookup::Radix {
+                    base: ba,
+                    appended: aa,
+                },
+                GroupLookup::Radix {
+                    base: bb,
+                    appended: ab,
+                },
+            ) => {
+                assert_eq!(ba, bb, "{ctx}: base");
+                assert_eq!(aa, ab, "{ctx}: appended");
+                assert_eq!(ba.capacity(), ba.len(), "{ctx}: base sized exactly");
+                assert_eq!(bb.capacity(), bb.len(), "{ctx}: base sized exactly");
+            }
+            _ => panic!("{ctx}: both indexes take the radix path"),
+        }
+    }
+
+    #[test]
+    fn dense_table_bound_scales_with_rows() {
+        assert_eq!(dense_table_slots(0), 0);
+        assert_eq!(dense_table_slots(16), 64);
+        assert_eq!(dense_table_slots(1024), 4096);
+    }
+
+    #[test]
+    fn dense_table_build_equals_sort_build() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xD7AB);
+        let (mut below, mut above, mut grew) = (0, 0, 0);
+        for trial in 0..60 {
+            // 4-7 attributes of domain 2-9 over up to 119 rows:
+            // attribute-set products range from 1 to ~4.8M, on both
+            // sides of the 4-slots-per-row bound.
+            let k = rng.gen_range(4usize..8);
+            let schema = Schema::new(
+                (0..k)
+                    .map(|i| AttrDef {
+                        name: format!("a{i}"),
+                        domain: crate::domain::Domain::new(rng.gen_range(2u32..10)),
+                    })
+                    .collect(),
+            );
+            let rows: Vec<Vec<u32>> = (0..rng.gen_range(0usize..120))
+                .map(|_| {
+                    schema
+                        .iter()
+                        .map(|(_, d)| rng.gen_range(0..d.domain.size()))
+                        .collect()
+                })
+                .collect();
+            let split = rng.gen_range(0..=rows.len());
+            let head = Relation::from_values(schema.clone(), rows[..split].to_vec()).unwrap();
+            let mut ir = InternedRelation::from_relation(&head);
+            let mut built: Vec<(u64, Vec<usize>, GroupIndex, GroupIndex)> = Vec::new();
+            for word in 0..1u64 << k {
+                let attrs: Vec<usize> = (0..k).filter(|&i| word & (1 << i) != 0).collect();
+                let (codes, product) = radix_codes(&ir, &attrs);
+                if product > (1 << 20) {
+                    continue; // keep the forced dense tables small
+                }
+                if product <= dense_table_slots(ir.n_rows()) {
+                    below += 1;
+                } else {
+                    above += 1;
+                }
+                let ctx = format!("trial {trial}, set {word:#b}, product {product}");
+                let (tb, tg) = densify_table(&codes, product as usize);
+                let (sb, sg) = densify_sorted(&codes);
+                let table = radix_index(tb, tg, ir.epoch());
+                let sorted = radix_index(sb, sg, ir.epoch());
+                assert_same_index(&table, &sorted, &ctx);
+                // Production picks one of the two by the bound.
+                assert_same_index(&ir.group_index_word(word), &sorted, &ctx);
+                built.push((word, attrs, table, sorted));
+            }
+            // Appends extend all three identically (the production
+            // groupings are warm, so `append_rows` extends them too),
+            // appended groups included.
+            let start = ir.n_rows();
+            let tail: Vec<Tuple> = rows[split..].iter().cloned().map(Tuple::new).collect();
+            ir.append_rows(&tail).unwrap();
+            let new_rows: Vec<u32> = (start..ir.n_rows()).map(|r| r as u32).collect();
+            for (word, attrs, mut table, mut sorted) in built {
+                ir.extend_index(&mut table, &attrs, &new_rows, ir.epoch());
+                ir.extend_index(&mut sorted, &attrs, &new_rows, ir.epoch());
+                if table.n_groups as usize > base_len(&table) {
+                    grew += 1;
+                }
+                let ctx = format!("trial {trial}, set {word:#b}, after append");
+                assert_same_index(&table, &sorted, &ctx);
+                assert_same_index(&ir.group_index_word(word), &sorted, &ctx);
+            }
+        }
+        assert!(
+            below > 0 && above > 0,
+            "both sides of the bound: {below}/{above}"
+        );
+        assert!(grew > 0, "some append created groups");
+    }
+
+    #[test]
+    fn pair_pass_edge_cases_match_reference() {
+        let check = |r: &Relation, key: &[u32], probe: &[u32], expect: usize| {
+            let ir = InternedRelation::from_relation(r);
+            let (key, probe) = (AttrSet::from_indices(key), AttrSet::from_indices(probe));
+            let reference = ops::reference::group_count_distinct(r, &key, &probe);
+            let min = reference.values().copied().min().unwrap_or(usize::MAX);
+            assert_eq!(min, expect, "{key:?}/{probe:?}: reference");
+            assert_eq!(
+                ir.min_group_distinct(&key, &probe),
+                min,
+                "{key:?}/{probe:?}"
+            );
+            assert_eq!(ir.group_count_distinct(&key, &probe), reference);
+        };
+        let names = ["k", "p1", "p2"];
+        let r = rel(
+            &names,
+            vec![
+                vec![0, 0, 0],
+                vec![0, 0, 1],
+                vec![0, 1, 0],
+                vec![1, 0, 0],
+                vec![1, 1, 1],
+            ],
+        );
+        // One key group (the empty key): every distinct probe value.
+        check(&r, &[], &[1, 2], 4);
+        // One probe group (the empty probe).
+        check(&r, &[0], &[], 1);
+        // Minimum in the last bucket (key 1: 2 values) vs the first
+        // (key 0: 3 values), and the reverse.
+        check(&r, &[0], &[1, 2], 2);
+        let flipped = rel(
+            &names,
+            vec![
+                vec![0, 0, 0],
+                vec![0, 1, 1],
+                vec![1, 0, 0],
+                vec![1, 0, 1],
+                vec![1, 1, 0],
+            ],
+        );
+        check(&flipped, &[0], &[1, 2], 2);
+        // A later bucket hits the running minimum part-way (capped) and
+        // a bucket of one distinct value ends the pass.
+        let capped = rel(
+            &names,
+            vec![
+                vec![0, 0, 0],
+                vec![0, 1, 1],
+                vec![1, 0, 0],
+                vec![1, 0, 1],
+                vec![1, 1, 0],
+                vec![1, 1, 1],
+            ],
+        );
+        check(&capped, &[0], &[1, 2], 2);
+        check(&capped, &[0, 1], &[2], 1);
+        // All-singleton key groups.
+        check(&r, &[0, 1, 2], &[1, 2], 1);
+        // Empty relation.
+        check(
+            &Relation::empty(Schema::booleans(&names)),
+            &[0],
+            &[1],
+            usize::MAX,
+        );
+        check(
+            &Relation::empty(Schema::booleans(&names)),
+            &[],
+            &[],
+            usize::MAX,
+        );
     }
 
     #[test]
